@@ -437,10 +437,15 @@ func measureServeMulti(name string, d time.Duration, sessions int, policy store.
 		wg.Add(1)
 		go func(i int, sess serveSession, clock int64) {
 			defer wg.Done()
-			for !stop.Load() {
+			// At least one op per session, so the count divided by below
+			// is never 0 however short the window.
+			for {
 				oneOp(sess, clock)
 				clock++
 				counts[i]++
+				if stop.Load() {
+					break
+				}
 			}
 		}(i, sess, clocks[i])
 	}

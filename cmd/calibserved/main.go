@@ -244,7 +244,9 @@ func bootHandler() http.Handler {
 // serve listens on addr (and debugAddr, when set) and serves until ctx
 // is cancelled, then drains HTTP connections and session workers within
 // the grace period. When ready is non-nil it receives the bound API
-// address once listening (tests use it to learn the :0 port).
+// address once the Server has replaced the boot handler, so a request
+// sent after the receive is served, never answered "booting" (tests use
+// it to learn the :0 port).
 //
 // The listener opens before server.New runs, fronted by bootHandler, so
 // a node recovering a large WAL is observable (and observably
@@ -271,9 +273,6 @@ func serve(ctx context.Context, addr, debugAddr string, cfg server.Config, timeo
 			}
 		}()
 	}
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
 
 	var handler atomic.Pointer[http.Handler] // bootHandler, then the Server
 	boot := bootHandler()
@@ -296,6 +295,9 @@ func serve(ctx context.Context, addr, debugAddr string, cfg server.Config, timeo
 	var live http.Handler = srv
 	handler.Store(&live)
 	logger.Info("serving")
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
 
 	select {
 	case err := <-serveErr:

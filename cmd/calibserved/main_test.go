@@ -69,7 +69,7 @@ func TestServeBootAndDrain(t *testing.T) {
 	select {
 	case addr = <-ready:
 	case err := <-done:
-		t.Fatalf("serve exited before listening: %v", err)
+		t.Fatalf("serve exited before ready: %v", err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon never became ready")
 	}

@@ -156,12 +156,7 @@ func runAlg2Multi(in *core.Instance, g int64, o Options) *Result {
 			consider(na)
 		}
 		if !q.Empty() {
-			w, c := q.FlowCoefficients()
-			tau := simul.CeilDiv(g-c, w) - 1
-			if tau <= t {
-				tau = t + 1
-			}
-			consider(tau)
+			consider(q.FlowTriggerStep(g, t))
 			for mi := range machines {
 				if free := machines[mi].firstFree(t + 1); free >= 0 {
 					consider(free)

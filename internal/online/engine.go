@@ -37,19 +37,19 @@ type Engine interface {
 
 var _ Engine = (*Stepper)(nil)
 
-// IdleSkipper is the optional fast-forward extension of Engine: with an
-// empty queue, no trigger can fire and no job can run, so every step is
-// pure clock advancement — SkipIdle jumps the clock in O(1) where
-// repeated Step(nil) calls would cost one call per tick. This is
-// internal/simul's event-skipping optimization surfaced to serving-layer
-// drivers; the contract is that SkipIdle(to) with Pending() == 0 leaves
-// the engine in exactly the state that Step(nil) repeated (to - Now())
-// times would. Callers must check Pending() first; implementations
-// panic otherwise.
+// IdleSkipper is the optional fast-forward extension of Engine: it jumps
+// the clock over steps on which no event can occur, where repeated
+// Step(nil) calls would cost one call per tick. This is internal/simul's
+// event-skipping optimization surfaced to serving-layer drivers. The
+// contract is that SkipIdle(to) leaves the engine in exactly the state
+// that Step(nil) repeated over the skipped steps would; it may stop short
+// of to, at the first step where a trigger could fire or a job could run,
+// or not move at all, so callers read Now() afterwards. Callers cap to at
+// their next buffered release, since an arrival is an event. Stepper's
+// SkipIdle explains why its skip is exact; DESIGN.md §7 has the argument.
 type IdleSkipper interface {
-	// SkipIdle advances the clock to step `to` without simulating the
-	// intervening (eventless) steps. No-op when to <= Now(); panics if
-	// jobs are pending.
+	// SkipIdle advances the clock toward step `to` without simulating
+	// the intervening eventless steps. No-op when to <= Now().
 	SkipIdle(to int64)
 }
 

@@ -17,6 +17,38 @@ type singlePolicy struct {
 	immediate        bool // Alg1: calibrate on arrival after a light interval
 }
 
+// queueTrigger evaluates the triggers that depend on the queue's contents
+// alone (count, weight, queue-full), in cascade order. Between a queue's
+// changes its answer is fixed.
+func (p singlePolicy) queueTrigger(q *queue.JobQueue, T, g int64) Trigger {
+	switch {
+	case p.countTrigger && core.MustMul(int64(q.Len()), T) >= g:
+		return TriggerCount
+	case p.weightTrigger && core.MustMul(q.TotalWeight(), T) >= g:
+		return TriggerWeight
+	case p.queueFullTrigger && int64(q.Len()) >= T:
+		return TriggerQueueFull
+	}
+	return TriggerNone
+}
+
+// decide is the trigger cascade of Algorithms 1 and 2 at an uncalibrated
+// step t with a non-empty queue: the queue triggers, then the flow
+// trigger, then the immediate trigger, which needs an arrival at t after
+// an interval whose flow stayed below g/2.
+func (p singlePolicy) decide(q *queue.JobQueue, T, g, t int64, lightInterval, arrived bool) Trigger {
+	if tr := p.queueTrigger(q, T, g); tr != TriggerNone {
+		return tr
+	}
+	if q.FlowIfScheduledFrom(t+1) >= g {
+		return TriggerFlow
+	}
+	if p.immediate && lightInterval && arrived {
+		return TriggerImmediate
+	}
+	return TriggerNone
+}
+
 // Alg1 runs Algorithm 1 of the paper (online unweighted calibration on one
 // machine, 3-competitive). The instance must have P = 1 and unit weights.
 func Alg1(in *core.Instance, g int64, opts ...Option) (*Result, error) {
@@ -106,22 +138,7 @@ func runSingle(in *core.Instance, g int64, pol singlePolicy, o Options) *Result 
 
 		calibrated := calStart >= 0 && calStart <= t && t < calEnd
 		if !calibrated && !q.Empty() {
-			tr := TriggerNone
-			switch {
-			case pol.countTrigger && core.MustMul(int64(q.Len()), T) >= g:
-				tr = TriggerCount
-			case pol.weightTrigger && core.MustMul(q.TotalWeight(), T) >= g:
-				tr = TriggerWeight
-			case pol.queueFullTrigger && int64(q.Len()) >= T:
-				tr = TriggerQueueFull
-			default:
-				if q.FlowIfScheduledFrom(t+1) >= g {
-					tr = TriggerFlow
-				} else if pol.immediate && hadInterval && 2*intervalFlow < g && arrivedNow {
-					tr = TriggerImmediate
-				}
-			}
-			if tr != TriggerNone {
+			if tr := pol.decide(q, T, g, t, hadInterval && 2*intervalFlow < g, arrivedNow); tr != TriggerNone {
 				calibrate(t, tr)
 				calibrated = true
 			}
@@ -161,14 +178,8 @@ func runSingle(in *core.Instance, g int64, pol singlePolicy, o Options) *Result 
 		}
 		if !q.Empty() {
 			// The only trigger that can newly fire without an arrival is
-			// the flow trigger: solve for the smallest tau with
-			// f(tau+1) = W*(tau+1) + C >= G.
-			w, c := q.FlowCoefficients()
-			tau := simul.CeilDiv(g-c, w) - 1
-			if tau <= t {
-				tau = t + 1 // defensive: the trigger was just evaluated false at t
-			}
-			if next < 0 || tau < next {
+			// the flow trigger.
+			if tau := q.FlowTriggerStep(g, t); next < 0 || tau < next {
 				next = tau
 			}
 		}

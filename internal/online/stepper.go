@@ -113,23 +113,9 @@ func (s *Stepper) Step(arrivals []core.Job) StepEvent {
 		s.q.Push(j)
 		arrived = true
 	}
-	calibrated := s.calStart >= 0 && s.calStart <= s.t && s.t < s.calEnd
+	calibrated := s.CalibratedNow()
 	if !calibrated && !s.q.Empty() {
-		tr := TriggerNone
-		switch {
-		case s.pol.countTrigger && core.MustMul(int64(s.q.Len()), s.T) >= s.g:
-			tr = TriggerCount
-		case s.pol.weightTrigger && core.MustMul(s.q.TotalWeight(), s.T) >= s.g:
-			tr = TriggerWeight
-		case s.pol.queueFullTrigger && int64(s.q.Len()) >= s.T:
-			tr = TriggerQueueFull
-		default:
-			if s.q.FlowIfScheduledFrom(s.t+1) >= s.g {
-				tr = TriggerFlow
-			} else if s.pol.immediate && s.hadInterval && 2*s.intervalFlow < s.g && arrived {
-				tr = TriggerImmediate
-			}
-		}
+		tr := s.pol.decide(s.q, s.T, s.g, s.t, s.hadInterval && 2*s.intervalFlow < s.g, arrived)
 		if tr != TriggerNone {
 			s.calendar = append(s.calendar, core.Calibration{Machine: 0, Start: s.t})
 			s.triggers = append(s.triggers, tr)
@@ -154,19 +140,32 @@ func (s *Stepper) Step(arrivals []core.Job) StepEvent {
 	return ev
 }
 
-// SkipIdle implements IdleSkipper: with the queue empty, every trigger
-// in Step is gated on a non-empty queue (TriggerImmediate additionally
-// on an arrival this step), and the run block likewise — so Step(nil)
-// mutates nothing but the clock, even mid-calibration-interval, and the
-// whole idle stretch collapses to one assignment. Differentially pinned
-// against literal Step(nil) loops by TestSkipIdleMatchesIdleSteps.
+// SkipIdle implements IdleSkipper. It stops at the first step where
+// Step(nil) could do more than advance the clock, or at to:
+//
+//   - Queue empty: every trigger and the run block need a job, so it
+//     jumps to to, even mid-interval.
+//   - Uncalibrated with jobs pending: the count, weight and queue-full
+//     triggers read only the queue, which no step without arrivals
+//     changes, and the immediate trigger needs an arrival. If none of the
+//     queue triggers fires now, only the flow trigger can fire, and
+//     f = W*(t+1) + C is affine in t while the queue is unchanged
+//     (Observation 2.1), so it jumps to the closed-form flow-trigger step.
+//   - Calibrated with jobs pending: a job runs every step; no-op.
+//
+// Pinned against literal Step(nil) loops (schedule, triggers, clock and
+// MarshalState bytes) by TestSkipIdleMatchesIdleSteps.
 func (s *Stepper) SkipIdle(to int64) {
+	if to <= s.t {
+		return
+	}
 	if !s.q.Empty() {
-		panic(fmt.Sprintf("online: SkipIdle(%d) with %d jobs pending", to, s.q.Len()))
+		if s.CalibratedNow() || s.pol.queueTrigger(s.q, s.T, s.g) != TriggerNone {
+			return
+		}
+		to = min(to, s.q.FlowTriggerStep(s.g, s.t-1))
 	}
-	if to > s.t {
-		s.t = to
-	}
+	s.t = to
 }
 
 // CalibratedNow reports whether the machine is calibrated for the step

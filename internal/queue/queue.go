@@ -8,7 +8,10 @@
 // the hot paths are monomorphic and allocation-free after warm-up.
 package queue
 
-import "calibsched/internal/core"
+import (
+	"calibsched/internal/core"
+	"calibsched/internal/simul"
+)
 
 // Heap is a binary min-heap under the supplied less function. The zero
 // value is not usable; construct with New.
@@ -140,20 +143,26 @@ func ByWeightAsc(a, b core.Job) bool {
 }
 
 // JobQueue is a heap of jobs with cached aggregate statistics: the total
-// weight of queued jobs and the sum of their release times, which together
-// let the online algorithms evaluate their calibration triggers in O(1).
+// weight of queued jobs, the sum of their release times, and the constant
+// term of the flow function, which together let the online algorithms
+// evaluate their calibration triggers in O(1) while the queue is unchanged.
 type JobQueue struct {
 	heap        *Heap[core.Job]
 	totalWeight int64
-	// weightedReleaseSum is sum of w_j * r_j over queued jobs; releaseSum
-	// is sum of r_j. Both are maintained incrementally.
-	weightedReleaseSum int64
-	releaseSum         int64
+	releaseSum  int64 // sum of r_j over queued jobs, maintained incrementally
+
+	// flowC caches the C of FlowCoefficients for weighted queues while
+	// flowOK is set; Push and Pop clear flowOK. scratch is the drain
+	// buffer a recompute reuses, so recomputes allocate nothing once its
+	// capacity has grown to the queue's high-water mark.
+	flowC   int64
+	flowOK  bool
+	scratch Heap[core.Job]
 }
 
 // NewJobQueue returns an empty job queue under the given order.
 func NewJobQueue(less func(a, b core.Job) bool) *JobQueue {
-	return &JobQueue{heap: New(less)}
+	return &JobQueue{heap: New(less), scratch: Heap[core.Job]{less: less}}
 }
 
 // Len returns the number of queued jobs.
@@ -166,16 +175,16 @@ func (q *JobQueue) Empty() bool { return q.heap.Empty() }
 func (q *JobQueue) Push(j core.Job) {
 	q.heap.Push(j)
 	q.totalWeight += j.Weight
-	q.weightedReleaseSum += j.Weight * j.Release
 	q.releaseSum += j.Release
+	q.flowOK = false
 }
 
 // Pop dequeues the front job.
 func (q *JobQueue) Pop() core.Job {
 	j := q.heap.Pop()
 	q.totalWeight -= j.Weight
-	q.weightedReleaseSum -= j.Weight * j.Release
 	q.releaseSum -= j.Release
+	q.flowOK = false
 	return j
 }
 
@@ -193,12 +202,6 @@ func (q *JobQueue) Jobs() []core.Job { return q.heap.Items() }
 // incur if scheduled consecutively starting at time start, in the order the
 // queue would pop them. This is the quantity "f <- flow cost of scheduling
 // all j in Q starting at t+1" in Algorithms 1–3.
-//
-// For release-ordered unweighted queues (all weights 1) this is computed in
-// O(1) from cached sums: job k of m (k = 0..m-1) completes at start+k+1, so
-// f = sum_k (start+k+1 - r_k) = m*start + m(m+1)/2 - releaseSum.
-// For weighted queues the pop order matters, so the queue is copied and
-// drained (O(m log m)).
 func (q *JobQueue) FlowIfScheduledFrom(start int64) int64 {
 	w, c := q.FlowCoefficients()
 	return w*start + c
@@ -209,8 +212,12 @@ func (q *JobQueue) FlowIfScheduledFrom(start int64) int64 {
 // before its release (always true in the algorithms, which only evaluate f
 // at times >= every queued release). W is the total queued weight.
 //
-// For unit-weight release-ordered queues the constants come from cached
-// sums in O(1); weighted queues drain a copy in pop order, O(m log m).
+// Job k of m (k = 0..m-1, in pop order) completes at start+k+1, so
+// C = sum_k w_k*(k+1-r_k). For unit weights the order does not matter and
+// C = m(m+1)/2 - sum r_k comes from cached sums. For weighted queues the
+// pop order matters (Observation 2.1): C is computed by draining a copy in
+// pop order, O(m log m), and cached until the next Push or Pop, so a
+// repeated query on an unchanged queue is O(1).
 func (q *JobQueue) FlowCoefficients() (w, c int64) {
 	m := int64(q.heap.Len())
 	if m == 0 {
@@ -219,15 +226,24 @@ func (q *JobQueue) FlowCoefficients() (w, c int64) {
 	if q.totalWeight == m { // all unit weights: order-independent
 		return m, m*(m+1)/2 - q.releaseSum
 	}
-	// Weighted: drain a copy in pop order. Job at position k (0-based)
-	// completes at start+k+1, contributing w_k*(start+k+1-r_k).
-	tmp := New(q.heap.less)
-	tmp.data = append(tmp.data, q.heap.data...)
-	var k int64
-	for !tmp.Empty() {
-		j := tmp.Pop()
-		c += j.Weight * (k + 1 - j.Release)
-		k++
+	if !q.flowOK {
+		q.scratch.data = append(q.scratch.data[:0], q.heap.data...)
+		q.flowC = 0
+		for k := int64(1); !q.scratch.Empty(); k++ {
+			j := q.scratch.Pop()
+			q.flowC += j.Weight * (k - j.Release)
+		}
+		q.flowOK = true
 	}
-	return q.totalWeight, c
+	return q.totalWeight, q.flowC
+}
+
+// FlowTriggerStep returns the first step after t at which the flow
+// trigger of Algorithms 1–3 fires on the unchanged queue: the smallest
+// tau > t with FlowIfScheduledFrom(tau+1) = W*(tau+1) + C >= g. f is
+// affine in the start time with slope W >= 1, so this is one ceiling
+// division. The queue must be non-empty.
+func (q *JobQueue) FlowTriggerStep(g, t int64) int64 {
+	w, c := q.FlowCoefficients()
+	return max(simul.CeilDiv(g-c, w)-1, t+1)
 }

@@ -88,6 +88,40 @@ func buildScript(rng *rand.Rand, numOps int) ([]scriptSession, []scriptOp) {
 	return sessions, ops
 }
 
+// buildSparseScript is buildScript for high-G sparse sessions: G=4096
+// far above T*w, T=16 and about 0.02 jobs per step. Each arrivals op
+// releases jobs across the session's next 10^4-step window and the step
+// op after it steps through that window, so most steps wait with jobs
+// pending.
+func buildSparseScript(rng *rand.Rand, numOps int) ([]scriptSession, []scriptOp) {
+	const window = 10_000
+	sessions := []scriptSession{
+		{req: CreateSessionRequest{Alg: "alg1", T: 16, G: 4096}},
+		{req: CreateSessionRequest{Alg: "alg2", T: 16, G: 4096}},
+	}
+	clock := make([]int64, len(sessions))
+	var ops []scriptOp
+	for len(ops) < numOps {
+		si := rng.IntN(len(sessions))
+		var jobs []JobSpec
+		for r := clock[si]; r < clock[si]+window; r++ {
+			if rng.IntN(50) == 0 {
+				w := int64(1)
+				if sessions[si].req.Alg == "alg2" {
+					w = 1 + int64(rng.IntN(9))
+				}
+				jobs = append(jobs, JobSpec{Release: r, Weight: w})
+			}
+		}
+		if len(jobs) > 0 {
+			ops = append(ops, scriptOp{sess: si, jobs: jobs})
+		}
+		ops = append(ops, scriptOp{sess: si, steps: window})
+		clock[si] += window
+	}
+	return sessions, ops
+}
+
 // applyOp drives one scripted command against a manager.
 func applyOp(t *testing.T, m *Manager, ids []string, o scriptOp) {
 	t.Helper()
@@ -145,77 +179,104 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		rng := rand.New(rand.NewPCG(77, uint64(trial)))
 		sessions, ops := buildScript(rng, 60)
 		killAt := rng.IntN(len(ops) + 1)
-		cadence := cadences[trial%len(cadences)]
-		opts := configs[trial%len(configs)]
-
-		st, err := store.Open(t.TempDir(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Store: st, SnapshotEvery: cadence}
-		a, err := NewManager(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewManager(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		ids := make([]string, len(sessions))
-		for i, ss := range sessions {
-			infoA, err := a.Create(ss.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			infoR, err := ref.Create(ss.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if infoA.ID != infoR.ID {
-				t.Fatalf("trial %d: id mismatch %s vs %s", trial, infoA.ID, infoR.ID)
-			}
-			ids[i] = infoA.ID
-		}
-
-		for _, o := range ops[:killAt] {
-			applyOp(t, a, ids, o)
-			applyOp(t, ref, ids, o)
-		}
-
-		hardKill(a)
-		b, err := NewManager(cfg)
-		if err != nil {
-			t.Fatalf("trial %d: recovery boot: %v", trial, err)
-		}
-		if b.Len() != len(sessions) {
-			t.Fatalf("trial %d (kill at %d/%d): recovered %d of %d sessions",
-				trial, killAt, len(ops), b.Len(), len(sessions))
-		}
-
-		for _, o := range ops[killAt:] {
-			applyOp(t, b, ids, o)
-			applyOp(t, ref, ids, o)
-		}
-
-		for i, id := range ids {
-			got, want := scheduleJSON(t, b, id), scheduleJSON(t, ref, id)
-			if got != want {
-				t.Fatalf("trial %d (kill at %d/%d, fsync=%s, group=%v, snapshot-every=%d): session %d diverged after recovery\nrecovered: %s\nreference: %s",
-					trial, killAt, len(ops), opts.Fsync, opts.GroupCommit, cadence, i, got, want)
-			}
-		}
-
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := b.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		cancel()
-		st.Close()
+		crashDifferential(t, fmt.Sprintf("trial %d", trial), sessions, ops, killAt,
+			configs[trial%len(configs)], cadences[trial%len(cadences)], false)
 	}
+	// High-G sparse sessions stepped 10^4 steps per request: the workers
+	// skip waiting stretches with jobs pending, live and in WAL replay,
+	// and the reference steps every tick.
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewPCG(4096, uint64(trial)))
+		sessions, ops := buildSparseScript(rng, 12)
+		killAt := rng.IntN(len(ops) + 1)
+		crashDifferential(t, fmt.Sprintf("sparse trial %d", trial), sessions, ops, killAt,
+			configs[trial%len(configs)], cadences[trial%len(cadences)], true)
+	}
+}
+
+// crashDifferential runs one trial of TestCrashRecoveryDifferential: the
+// store-backed manager is hard-killed after ops[:killAt], recovered, and
+// finishes the script next to an uninterrupted in-memory reference. With
+// literalRef the reference's workers never skip, so every tick runs
+// through Step.
+func crashDifferential(t *testing.T, name string, sessions []scriptSession, ops []scriptOp, killAt int, opts store.Options, cadence int, literalRef bool) {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Store: st, SnapshotEvery: cadence}
+	a, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewManager(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ids := make([]string, len(sessions))
+	for i, ss := range sessions {
+		infoA, err := a.Create(ss.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		infoR, err := ref.Create(ss.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if infoA.ID != infoR.ID {
+			t.Fatalf("%s: id mismatch %s vs %s", name, infoA.ID, infoR.ID)
+		}
+		ids[i] = infoA.ID
+		if literalRef {
+			s, err := ref.Get(infoR.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.do(func() { s.skipper = nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, o := range ops[:killAt] {
+		applyOp(t, a, ids, o)
+		applyOp(t, ref, ids, o)
+	}
+
+	hardKill(a)
+	b, err := NewManager(cfg)
+	if err != nil {
+		t.Fatalf("%s: recovery boot: %v", name, err)
+	}
+	if b.Len() != len(sessions) {
+		t.Fatalf("%s (kill at %d/%d): recovered %d of %d sessions",
+			name, killAt, len(ops), b.Len(), len(sessions))
+	}
+
+	for _, o := range ops[killAt:] {
+		applyOp(t, b, ids, o)
+		applyOp(t, ref, ids, o)
+	}
+
+	for i, id := range ids {
+		got, want := scheduleJSON(t, b, id), scheduleJSON(t, ref, id)
+		if got != want {
+			t.Fatalf("%s (kill at %d/%d, fsync=%s, group=%v, snapshot-every=%d): session %d diverged after recovery\nrecovered: %s\nreference: %s",
+				name, killAt, len(ops), opts.Fsync, opts.GroupCommit, cadence, i, got, want)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := b.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
 }
 
 // TestGroupCommitDifferentialConcurrent drives N sessions concurrently —

@@ -55,7 +55,7 @@ func TestServedMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		got := driveServed(t, ts.URL, alg, in, g, upfront)
+		got := driveServed(t, ts.URL, alg, in, g, upfront, 7)
 
 		want := renderExpected(in, g, batch)
 		if gotJSON, wantJSON := canonical(t, got), canonical(t, want); gotJSON != wantJSON {
@@ -64,6 +64,40 @@ func TestServedMatchesBatch(t *testing.T) {
 		}
 		if wantCost := core.TotalCost(in, batch.Schedule, g); got.TotalCost != wantCost {
 			t.Fatalf("trial %d: served cost %d, batch cost %d", trial, got.TotalCost, wantCost)
+		}
+	}
+
+	// High-G sparse sessions: G=4096 far above T*w and about 0.02 jobs per
+	// step, stepped 10^4 steps per request, so the worker's skips jump
+	// over waiting stretches with jobs pending. The reference is the
+	// batch engine stepping every tick.
+	for trial := 0; trial < 8; trial++ {
+		alg, weights := "alg1", workload.WeightUnit
+		if trial%2 == 1 {
+			alg, weights = "alg2", workload.WeightZipf
+		}
+		in, err := workload.Spec{
+			N: 40 + rng.IntN(40), P: 1, T: 16, Seed: uint64(4096 + trial),
+			Arrival: workload.ArrivalPoisson, Lambda: 0.02,
+			Weights: weights, WMax: 9, ZipfS: 1.3,
+		}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const g = 4096
+		run := online.Alg1
+		if alg == "alg2" {
+			run = online.Alg2
+		}
+		batch, err := run(in, g, online.WithNaiveStepping())
+		if err != nil {
+			t.Fatal(err)
+		}
+		upfront := trial%4 < 2
+		got := driveServed(t, ts.URL, alg, in, g, upfront, 10_000)
+		if gotJSON, wantJSON := canonical(t, got), canonical(t, renderExpected(in, g, batch)); gotJSON != wantJSON {
+			t.Fatalf("sparse trial %d (%s upfront=%v): served != batch\nserved: %s\nbatch:  %s",
+				trial, alg, upfront, gotJSON, wantJSON)
 		}
 	}
 }
@@ -76,9 +110,9 @@ type servedResult struct {
 	TotalCost    int64             `json:"total_cost"`
 }
 
-// driveServed runs one full session over HTTP and returns the final
-// snapshot reduced to its comparable parts.
-func driveServed(t *testing.T, base, alg string, in *core.Instance, g int64, upfront bool) servedResult {
+// driveServed runs one full session over HTTP, stepping window steps per
+// request, and returns the final snapshot reduced to its comparable parts.
+func driveServed(t *testing.T, base, alg string, in *core.Instance, g int64, upfront bool, window int64) servedResult {
 	t.Helper()
 	id := mustCreate(t, base, CreateSessionRequest{T: in.T, G: g, Alg: alg})
 	url := base + "/v1/sessions/" + id
@@ -102,7 +136,7 @@ func driveServed(t *testing.T, base, alg string, in *core.Instance, g int64, upf
 		next = len(jobs)
 	}
 	done := false
-	for steps := 0; !done; {
+	for steps := int64(0); !done; {
 		if !upfront {
 			// Post every job released within the next step window before
 			// stepping over it.
@@ -110,7 +144,7 @@ func driveServed(t *testing.T, base, alg string, in *core.Instance, g int64, upf
 			if status := doJSON(t, "GET", url, nil, &sr); status != 200 {
 				t.Fatalf("info: status %d", status)
 			}
-			end := sr.Now + 7
+			end := sr.Now + window
 			batch := []JobSpec{}
 			for next < len(jobs) && jobs[next].Release < end {
 				batch = append(batch, jobs[next])
@@ -121,11 +155,11 @@ func driveServed(t *testing.T, base, alg string, in *core.Instance, g int64, upf
 			}
 		}
 		var sr StepResponse
-		if status := doJSON(t, "POST", url+"/step", StepRequest{Steps: 7}, &sr); status != 200 {
+		if status := doJSON(t, "POST", url+"/step", StepRequest{Steps: window}, &sr); status != 200 {
 			t.Fatalf("step: status %d", status)
 		}
 		done = sr.Done && next >= len(jobs)
-		if steps += 7; steps > 5_000_000 {
+		if steps += window; steps > 5_000_000 {
 			t.Fatal("session never finished")
 		}
 	}
@@ -187,7 +221,7 @@ func TestServedMatchesBatchFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := driveServed(t, ts.URL, "alg1", in, g, true)
+	got := driveServed(t, ts.URL, "alg1", in, g, true, 7)
 	want := renderExpected(in, g, batch)
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 		t.Fatalf("served %+v\nbatch  %+v", got, want)

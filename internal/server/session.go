@@ -320,20 +320,20 @@ func (s *session) advance(k, maxBatch int64, act *trace.Active) (StepResponse, e
 	for i := int64(0); i < k; {
 		now := s.eng.Now()
 		// Fast-forward (internal/simul's event-skipping, ported to the
-		// serving path): with nothing pending inside the engine, steps up
-		// to the next buffered release are pure clock ticks — quiet steps
-		// are elided from the event list anyway, so jumping the clock is
-		// response- and replay-identical to stepping them one by one.
-		if s.skipper != nil && s.eng.Pending() == 0 {
+		// serving path): the engine jumps over the steps on which no
+		// event can occur, up to the next buffered release, which is the
+		// next arrival. Those steps are quiet and elided from the event
+		// list anyway, so the jump is response- and replay-identical to
+		// stepping them one by one (see online.IdleSkipper). The engine
+		// then runs one Step per event instead of one per tick.
+		if s.skipper != nil {
 			target := now + (k - i)
 			if !s.buffer.Empty() {
-				if next := s.buffer.Peek().Release; next < target {
-					target = next
-				}
+				target = min(target, s.buffer.Peek().Release)
 			}
-			if target > now {
-				s.skipper.SkipIdle(target)
-				i += target - now
+			s.skipper.SkipIdle(target)
+			if moved := s.eng.Now() - now; moved > 0 {
+				i += moved
 				continue
 			}
 		}
